@@ -19,9 +19,9 @@ set -u
 # (dashes become underscores).
 ALL_STAGES=(fmt clippy build test smoke robust-smoke telemetry-smoke
             serve-smoke metrics-smoke soak-smoke tenant-soak
-            join-bench-smoke snapshot-smoke)
+            join-bench-smoke snapshot-smoke perfbench-unit)
 FAST_SKIP=(build smoke robust-smoke telemetry-smoke serve-smoke metrics-smoke
-           soak-smoke tenant-soak join-bench-smoke snapshot-smoke)
+           soak-smoke tenant-soak join-bench-smoke snapshot-smoke perfbench-unit)
 
 FAST=0
 ONLY_STAGES=()
@@ -360,6 +360,14 @@ stage_join_bench_smoke() {
 # under target/BENCH_snapshot_quick.json. Fully offline.
 stage_snapshot_smoke() {
     cargo run --release -p lotusx-bench --bin snapshot-bench -- --quick
+}
+
+# Benchmark unit tests: perfbench/ is a workspace of its own that builds
+# against the repository's crates by path, so this stage is what catches
+# an API change that would break the end-to-end benchmark. It shares the
+# repository's target directory, as perfbench/run.sh does.
+stage_perfbench_unit() {
+    CARGO_TARGET_DIR=target cargo test --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 fast_skips() {

@@ -21,7 +21,7 @@ use lotusx_obs::{EventKind, QueryId, QueryProfile, Span, Stage};
 use lotusx_par::{
     default_threads, par_map_isolated, CacheStats, ShardLoad, ShardedLru, WorkerPanic,
 };
-use lotusx_rank::{RankWeights, Ranker};
+use lotusx_rank::{OrderedTopK, RankWeights, Ranker};
 use lotusx_rewrite::{Rewriter, RewriterConfig};
 use lotusx_twig::exec::{execute_budgeted, Algorithm};
 use lotusx_twig::matcher::TwigMatch;
@@ -954,10 +954,9 @@ impl LotusX {
         let sampled = request.profile || lotusx_obs::sampler().should_sample();
         let root = sampled.then(|| Span::new("query"));
         let limit = request.top_k.unwrap_or(self.config.result_limit);
-        // Keyword (SLCA) search runs to completion once started, so the
-        // budget gates only whether it starts at all: an exhausted budget
-        // yields an empty truncated response, anything else a complete
-        // one.
+        // The guard is charged through the SLCA scan and the scoring
+        // sweep; a trip keeps the best answers scored so far, marked
+        // truncated. An exhausted budget never starts the search.
         let guard = QueryGuard::new(&request.budget);
         guard.set_trace_id(qid.0);
         let exhausted = guard.checkpoint();
@@ -968,19 +967,27 @@ impl LotusX {
             run_stage(root.as_ref(), Stage::Keyword, recording, qid, |span| {
                 let engine = lotusx_keyword::KeywordEngine::new(&self.idx);
                 let doc = self.idx.document();
-                let hits = engine.search(&request.text);
-                let total = hits.len();
+                // Rank through a bounded heap: same order as sorting every
+                // hit (score descending, then node id), and only the kept
+                // hits are serialized.
+                let mut top = OrderedTopK::new(limit);
+                let mut ticker = guard.ticker();
+                let total = engine.search_each(
+                    &request.text,
+                    |steps| ticker.tick(steps),
+                    |node, score| top.push(score, node),
+                );
                 if let Some(s) = span {
                     s.annotate("hits", total);
                 }
-                let results: Vec<SearchResult> = hits
+                let results: Vec<SearchResult> = top
+                    .into_sorted()
                     .into_iter()
-                    .take(limit)
-                    .map(|hit| SearchResult {
-                        score: hit.score,
-                        bindings: vec![hit.node],
-                        output: vec![hit.node],
-                        snippet: doc.serialize(hit.node, SerializeOptions::default()),
+                    .map(|(score, node)| SearchResult {
+                        score,
+                        bindings: vec![node],
+                        output: vec![node],
+                        snippet: doc.serialize(node, SerializeOptions::default()),
                     })
                     .collect();
                 (results, total)
@@ -1406,6 +1413,12 @@ mod tests {
             .unwrap();
         assert!(limited.matches.len() <= 1);
         assert!(limited.total_matches >= limited.matches.len());
+        // An unbounded top_k keeps every hit.
+        let all = system
+            .query(&QueryRequest::keyword("xml").top_k(usize::MAX))
+            .unwrap();
+        assert_eq!(all.total_matches, 1);
+        assert_eq!(all.matches.len(), 1);
     }
 
     #[test]
@@ -1621,6 +1634,51 @@ mod tests {
             .unwrap();
         assert!(!keyword.completeness.is_complete());
         assert!(keyword.matches.is_empty());
+    }
+
+    #[test]
+    fn keyword_node_quota_truncates_mid_search() {
+        use lotusx_guard::Budget;
+        let system = LotusX::load_document(lotusx_datagen::generate(
+            lotusx_datagen::Dataset::DblpLike,
+            1,
+            42,
+        ));
+        let full = system.query(&QueryRequest::keyword("data")).unwrap();
+        assert!(full.completeness.is_complete());
+        assert!(full.total_matches > 100);
+        let every_hit = lotusx_keyword::KeywordEngine::new(system.index()).search("data");
+        // The posting list fits the quota; scanning and scoring it does not.
+        let quota = system.index().values().df("data") as u64 + 64;
+        let budget = Budget::default().with_node_quota(quota);
+        let cut = system
+            .query(&QueryRequest::keyword("data").budget(budget.clone()))
+            .unwrap();
+        assert_eq!(
+            cut.completeness.truncation_reason(),
+            Some(TruncationReason::NodeQuotaExceeded)
+        );
+        assert!(!cut.matches.is_empty());
+        // Every kept answer is a true SLCA with its exact score.
+        for m in &cut.matches {
+            let exact = every_hit
+                .iter()
+                .find(|h| m.output == [h.node])
+                .expect("a true SLCA");
+            assert_eq!(exact.score.to_bits(), m.score.to_bits());
+        }
+        // Deterministic: the same quota cuts at the same step.
+        let again = system
+            .query(&QueryRequest::keyword("data").budget(budget))
+            .unwrap();
+        assert_eq!(again.total_matches, cut.total_matches);
+        let outputs = |r: &QueryResponse| {
+            r.matches
+                .iter()
+                .map(|m| m.output.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(outputs(&again), outputs(&cut));
     }
 
     #[test]

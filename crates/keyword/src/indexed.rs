@@ -77,19 +77,41 @@ fn lca(doc: &Document, labels: &DocumentLabels, a: NodeId, b: NodeId) -> Option<
     }
 }
 
-/// SLCA via indexed lookup on the keyword posting lists.
+/// SLCA via indexed lookup on the keyword posting lists, in [`NodeId`]
+/// order.
 ///
 /// Agrees with [`crate::bitmask::slca`] on every input (property-tested).
 pub fn slca_indexed(idx: &IndexedDocument, keywords: &[&str]) -> Vec<NodeId> {
+    let mut hits = slca_budgeted(idx, keywords, &mut |_| false);
+    hits.sort();
+    hits
+}
+
+/// SLCA via indexed lookup, in document (region-start) order. `charge`
+/// is called with the steps taken, one per posting indexed and one per
+/// scanned occurrence, and returns true when the scan must stop.
+///
+/// On a stop, the scan ends after the current occurrence
+/// and only the candidates whose subtree ends before the first
+/// unscanned occurrence are kept: each of them is a true SLCA (every
+/// occurrence inside it was scanned, so any all-keyword descendant
+/// would have produced a deeper candidate), while a candidate that
+/// encloses unscanned occurrences might still be superseded.
+pub(crate) fn slca_budgeted(
+    idx: &IndexedDocument,
+    keywords: &[&str],
+    charge: &mut impl FnMut(u64) -> bool,
+) -> Vec<NodeId> {
     if keywords.is_empty() {
         return Vec::new();
     }
-    let mut lists: Vec<KeywordList> = keywords
-        .iter()
-        .map(|kw| KeywordList::build(idx, kw))
-        .collect();
-    if lists.iter().any(|l| l.nodes.is_empty()) {
-        return Vec::new();
+    let mut lists: Vec<KeywordList> = Vec::with_capacity(keywords.len());
+    for kw in keywords {
+        let list = KeywordList::build(idx, kw);
+        if list.nodes.is_empty() || charge(list.nodes.len() as u64) {
+            return Vec::new();
+        }
+        lists.push(list);
     }
     // Scan the rarest list.
     let min_idx = (0..lists.len())
@@ -100,7 +122,12 @@ pub fn slca_indexed(idx: &IndexedDocument, keywords: &[&str]) -> Vec<NodeId> {
     let doc = idx.document();
     let labels = idx.labels();
     let mut candidates: Vec<NodeId> = Vec::new();
-    'occurrences: for &v in &scan.nodes {
+    let mut cutoff = u32::MAX;
+    'occurrences: for (i, &v) in scan.nodes.iter().enumerate() {
+        if charge(1) {
+            cutoff = scan.starts[i];
+            break;
+        }
         // Fold: the deepest ancestor of v whose subtree has a hit from
         // every remaining list.
         let mut current = v;
@@ -142,7 +169,7 @@ pub fn slca_indexed(idx: &IndexedDocument, keywords: &[&str]) -> Vec<NodeId> {
         }
         kept.push(c);
     }
-    kept.sort();
+    kept.retain(|&c| labels.region(c).end < cutoff);
     kept
 }
 
@@ -203,5 +230,45 @@ mod tests {
         let idx = IndexedDocument::from_str("<r><a>k</a></r>").unwrap();
         assert!(slca_indexed(&idx, &[]).is_empty());
         assert!(slca_indexed(&idx, &["missing"]).is_empty());
+    }
+
+    #[test]
+    fn a_tripped_scan_keeps_only_true_answers() {
+        use lotusx_guard::{Budget, QueryGuard};
+        let idx = IndexedDocument::build(lotusx_datagen::generate(
+            lotusx_datagen::Dataset::DblpLike,
+            1,
+            42,
+        ));
+        for keywords in [&["data"][..], &["data", "query"], &["smith", "data"]] {
+            let full = slca_indexed(&idx, keywords);
+            let mut sizes = Vec::new();
+            for quota in 0..4000 {
+                let guard = QueryGuard::new(&Budget::default().with_node_quota(quota));
+                // Stride 1: the guard sees every step, so each quota cuts
+                // the scan at a different occurrence.
+                let mut ticker = lotusx_guard::Ticker::new(guard.clone(), 1);
+                let got = slca_budgeted(&idx, keywords, &mut |n| ticker.tick(n));
+                assert!(
+                    got.iter().all(|n| full.binary_search(n).is_ok()),
+                    "{keywords:?}"
+                );
+                if !guard.is_tripped() {
+                    let mut sorted = got.clone();
+                    sorted.sort();
+                    assert_eq!(sorted, full, "{keywords:?}: an untripped scan is complete");
+                    break;
+                }
+                sizes.push(got.len());
+            }
+            assert!(
+                sizes.windows(2).all(|w| w[0] <= w[1]),
+                "more quota, more answers"
+            );
+            assert!(
+                sizes.iter().any(|&n| n > 0 && n < full.len()),
+                "{keywords:?}"
+            );
+        }
     }
 }

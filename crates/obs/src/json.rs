@@ -10,20 +10,66 @@ use crate::window::WindowSnapshot;
 /// Escapes a string for inclusion in a JSON document (quotes included).
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    json_string_into(s, &mut out);
     out
+}
+
+/// Appends `s` to `out` as a quoted JSON string.
+///
+/// Runs of bytes that need no escape are copied whole, found eight bytes
+/// at a time (the same scan as `lotusx_xml`'s escapers): a word without
+/// a control byte, quote or backslash is skipped in one step. Every
+/// escaped byte is ASCII, so every run boundary is a char boundary.
+pub fn json_string_into(s: &str, out: &mut String) {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = LO << 7;
+    // High bit set in the first byte of `w` equal to `b` (bits above it
+    // may be spurious, which only costs a re-check).
+    let eq = |w: u64, b: u8| {
+        let v = w ^ (LO * u64::from(b));
+        v.wrapping_sub(LO) & !v & HI
+    };
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        if let Some(word) = bytes.get(i..i + 8) {
+            let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            let mask = (w.wrapping_sub(LO * 0x20) & !w & HI) | eq(w, b'"') | eq(w, b'\\');
+            if mask == 0 {
+                i += 8;
+                continue;
+            }
+            i += (mask.trailing_zeros() / 8) as usize;
+        }
+        let b = bytes[i];
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        out.push_str(&s[run..i]);
+        if escaped.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escaped);
+        }
+        i += 1;
+        run = i;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Formats an `f64` so the output is always a finite JSON number.
@@ -396,6 +442,62 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
 mod tests {
     use super::*;
     use crate::registry::{Metrics, Stage};
+
+    /// The original char-by-char escaper: the oracle the run-copying
+    /// one must match byte for byte.
+    fn json_string_oracle(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_copying_json_string_matches_the_char_loop_oracle() {
+        // Every control character, the escaped specials, ASCII, and 2-,
+        // 3- and 4-byte UTF-8, drawn into seeded random strings.
+        let mut pool: Vec<char> = (0u8..0x20).map(char::from).collect();
+        pool.extend([
+            '"', '\\', '/', ' ', 'a', '\u{7f}', 'é', '\u{7ff}', '€', '語', '😀',
+        ]);
+        let mut state: u64 = 0x5EED;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut inputs: Vec<String> = (0..2000)
+            .map(|_| {
+                let len = (next() % 40) as usize;
+                (0..len)
+                    .map(|_| pool[(next() % pool.len() as u64) as usize])
+                    .collect()
+            })
+            .collect();
+        inputs.push(String::new());
+        inputs.push(pool.iter().collect());
+        for input in &inputs {
+            let want = json_string_oracle(input);
+            assert_eq!(json_string(input), want, "{input:?}");
+            let mut appended = "[".to_string();
+            json_string_into(input, &mut appended);
+            assert_eq!(appended, format!("[{want}"));
+            // The escaped form parses back to the input.
+            assert_eq!(parse_json(&want).unwrap().as_str(), Some(input.as_str()));
+        }
+    }
 
     #[test]
     fn strings_are_escaped() {

@@ -61,7 +61,7 @@ pub use event::{
 };
 pub use export::{chrome_trace_json, chrome_trace_json_with, jsonl_log};
 pub use histogram::{fmt_ns, HistogramAccumulator, HistogramSnapshot, LatencyHistogram};
-pub use json::{json_string, parse_json, JsonValue};
+pub use json::{json_string, json_string_into, parse_json, JsonValue};
 pub use profile::QueryProfile;
 pub use prom::{escape_label_value, sanitize_metric_name, PromWriter};
 pub use registry::{

@@ -1296,7 +1296,14 @@ impl EventLoop<'_> {
         let closing = {
             let conn = self.slots[token].conn.as_mut().expect("checked above");
             conn.pending = false;
-            conn.outbuf.extend_from_slice(&done.bytes);
+            let len = done.bytes.len() as u64;
+            // A drained buffer takes the worker's bytes as they are,
+            // so a large body is not copied a second time.
+            if conn.outbuf.is_empty() {
+                conn.outbuf = done.bytes;
+            } else {
+                conn.outbuf.extend_from_slice(&done.bytes);
+            }
             if done.close || stopping {
                 conn.close_after_flush = true;
                 conn.close_reason.get_or_insert(if stopping {
@@ -1311,7 +1318,7 @@ impl EventLoop<'_> {
                 method: done.method,
                 path: done.path,
                 status: done.status,
-                bytes: done.bytes.len() as u64,
+                bytes: len,
                 tenant: done.tenant,
                 parse_ns: done.parse_ns,
                 queue_ns: done.queue_ns,

@@ -11,7 +11,7 @@ use lotusx::{
     Algorithm, Axis, Budget, ContextStep, PositionContext, QueryRequest, QueryResponse,
     TagCandidate, ValueCandidate,
 };
-use lotusx_obs::{json_string, JsonValue};
+use lotusx_obs::{json_string, json_string_into, JsonValue};
 
 /// Upper bound on `k`/`top_k` accepted over the wire, so one request
 /// cannot ask the serializer to materialize an absurd result set.
@@ -132,8 +132,16 @@ pub fn decode_query(v: &JsonValue) -> Result<QueryRequest, String> {
 }
 
 /// Encodes a [`QueryResponse`] as one compact JSON line.
+///
+/// Snippets can be whole documents, so the buffer is reserved once for
+/// all of them (plus escape slack) and each is escaped straight into it.
 pub fn encode_response(response: &QueryResponse) -> String {
-    let mut out = String::with_capacity(256);
+    let snippet_bytes: usize = response
+        .matches
+        .iter()
+        .map(|m| m.snippet.len() + m.snippet.len() / 8 + 96)
+        .sum();
+    let mut out = String::with_capacity(256 + snippet_bytes);
     out.push_str(&format!(
         "{{\"total_matches\":{},\"completeness\":{},\"truncation_reason\":{},",
         response.total_matches,
@@ -175,16 +183,17 @@ pub fn encode_response(response: &QueryResponse) -> String {
                 .join(",")
         };
         out.push_str(&format!(
-            "{{\"score\":{},\"bindings\":[{}],\"output\":[{}],\"snippet\":{}}}",
+            "{{\"score\":{},\"bindings\":[{}],\"output\":[{}],\"snippet\":",
             json_f64(m.score),
             render(&m.bindings),
             render(&m.output),
-            json_string(&m.snippet)
         ));
+        json_string_into(&m.snippet, &mut out);
+        out.push('}');
     }
     out.push_str("],\"profile\":");
     match &response.profile {
-        Some(profile) => out.push_str(&json_string(&profile.render())),
+        Some(profile) => json_string_into(&profile.render(), &mut out),
         None => out.push_str("null"),
     }
     out.push_str("}\n");

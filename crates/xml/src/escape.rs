@@ -5,30 +5,97 @@ use crate::error::{Error, Result, TextPos};
 /// Appends `text` to `out`, escaping the characters that are not allowed in
 /// XML character data (`&`, `<`, `>`).
 pub fn escape_text_into(text: &str, out: &mut String) {
-    for ch in text.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(ch),
-        }
-    }
+    escape_runs_into(
+        text,
+        out,
+        |w| eq_bytes(w, b'&') | eq_bytes(w, b'<') | eq_bytes(w, b'>'),
+        |b| match b {
+            b'&' => Some("&amp;"),
+            b'<' => Some("&lt;"),
+            b'>' => Some("&gt;"),
+            _ => None,
+        },
+    );
 }
 
 /// Appends `value` to `out`, escaping the characters that are not allowed in
 /// a double-quoted attribute value.
 pub fn escape_attr_into(value: &str, out: &mut String) {
-    for ch in value.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            _ => out.push(ch),
+    escape_runs_into(
+        value,
+        out,
+        |w| {
+            eq_bytes(w, b'&')
+                | eq_bytes(w, b'<')
+                | eq_bytes(w, b'>')
+                | eq_bytes(w, b'"')
+                | below_bytes(w, 0x20)
+        },
+        |b| match b {
+            b'&' => Some("&amp;"),
+            b'<' => Some("&lt;"),
+            b'>' => Some("&gt;"),
+            b'"' => Some("&quot;"),
+            b'\n' => Some("&#10;"),
+            b'\t' => Some("&#9;"),
+            _ => None,
+        },
+    );
+}
+
+const LO: u64 = 0x0101_0101_0101_0101;
+const HI: u64 = LO << 7;
+
+/// Marks the bytes of the little-endian word `w` equal to `b`: the lowest
+/// set high bit is the first such byte (bits above it may be spurious).
+#[inline]
+fn eq_bytes(w: u64, b: u8) -> u64 {
+    let v = w ^ (LO * u64::from(b));
+    v.wrapping_sub(LO) & !v & HI
+}
+
+/// Marks the bytes of `w` below `n` (`n <= 0x80`), with the same
+/// lowest-bit guarantee as [`eq_bytes`].
+#[inline]
+fn below_bytes(w: u64, n: u8) -> u64 {
+    w.wrapping_sub(LO * u64::from(n)) & !w & HI
+}
+
+/// Appends `text` to `out` with every byte that `replace` maps replaced
+/// by its escape, copying the runs between them whole.
+///
+/// The scan reads eight bytes at a time: `candidates` marks (at least) the
+/// first byte of a word that `replace` might map, so words without one
+/// are skipped whole and a marked byte is checked by `replace` itself.
+/// `replace` maps only ASCII bytes, which never occur inside a
+/// multi-byte UTF-8 sequence, so every run boundary is a char boundary.
+#[inline]
+fn escape_runs_into(
+    text: &str,
+    out: &mut String,
+    candidates: impl Fn(u64) -> u64,
+    replace: impl Fn(u8) -> Option<&'static str>,
+) {
+    let bytes = text.as_bytes();
+    let mut run = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        if let Some(word) = bytes.get(i..i + 8) {
+            let mask = candidates(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+            if mask == 0 {
+                i += 8;
+                continue;
+            }
+            i += (mask.trailing_zeros() / 8) as usize;
         }
+        if let Some(escaped) = replace(bytes[i]) {
+            out.push_str(&text[run..i]);
+            out.push_str(escaped);
+            run = i + 1;
+        }
+        i += 1;
     }
+    out.push_str(&text[run..]);
 }
 
 /// Escapes character data, returning a new string.
@@ -147,8 +214,99 @@ pub fn is_xml_whitespace(c: char) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The original char-by-char escapers: the oracles the run-copying
+    /// versions must match byte for byte.
+    fn escape_text_oracle(text: &str, out: &mut String) {
+        for ch in text.chars() {
+            match ch {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                _ => out.push(ch),
+            }
+        }
+    }
+
+    fn escape_attr_oracle(value: &str, out: &mut String) {
+        for ch in value.chars() {
+            match ch {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '"' => out.push_str("&quot;"),
+                '\n' => out.push_str("&#10;"),
+                '\t' => out.push_str("&#9;"),
+                _ => out.push(ch),
+            }
+        }
+    }
+
+    /// Seeded random strings drawing on every escaped character, control
+    /// characters, plain ASCII and 2-, 3- and 4-byte UTF-8.
+    pub(crate) fn random_strings(seed: u64, count: usize) -> Vec<String> {
+        const POOL: &[char] = &[
+            '&',
+            '<',
+            '>',
+            '"',
+            '\'',
+            '\\',
+            '\n',
+            '\r',
+            '\t',
+            '\0',
+            '\u{1}',
+            '\u{1f}',
+            ' ',
+            'a',
+            'Z',
+            '0',
+            ';',
+            '\u{7f}',
+            '\u{80}',
+            'é',
+            'ß',
+            '\u{7ff}',
+            '\u{800}',
+            '€',
+            '語',
+            '\u{fffd}',
+            '\u{10000}',
+            '😀',
+            '\u{10ffff}',
+        ];
+        let mut rng = lotusx_datagen::rng::XorShiftRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                let len = rng.gen_range(0..40usize);
+                (0..len)
+                    .map(|_| POOL[rng.gen_range(0..POOL.len())])
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_copying_escapes_match_the_char_loop_oracles() {
+        let mut inputs = random_strings(0x5EED, 2000);
+        inputs.push(String::new());
+        inputs.push("&<>\"\n\t".repeat(3));
+        inputs.push("plain text without specials".to_string());
+        for input in &inputs {
+            // Appending to a non-empty buffer must leave its prefix alone.
+            let (mut got, mut want) = ("prefix".to_string(), "prefix".to_string());
+            escape_text_into(input, &mut got);
+            escape_text_oracle(input, &mut want);
+            assert_eq!(got, want, "text {input:?}");
+            let (mut got, mut want) = (String::new(), String::new());
+            escape_attr_into(input, &mut got);
+            escape_attr_oracle(input, &mut want);
+            assert_eq!(got, want, "attr {input:?}");
+        }
+    }
 
     #[test]
     fn escape_text_escapes_markup_characters() {
