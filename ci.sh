@@ -197,7 +197,7 @@ stage_telemetry_smoke() {
     local trace=/tmp/lotusx_ci_trace.json
     rm -f "$trace"
     printf 'trace on\ntimeout 1\nquery //*//*//*//*//*\ntimeout 0\nquery //s/np\nquery //s/np\ntrace export %s\nquit\n' "$trace" \
-        | LOTUSX_THREADS=4 cargo run --release -p lotusx-serve --bin lotusx-cli -- @treebank:2 \
+        | cargo run --release -p lotusx-serve --bin lotusx-cli -- @treebank:2 \
         || return 1
     cargo run --release -p lotusx-bench --bin trace-check -- "$trace" --require-trip || return 1
     cargo run --release -p lotusx-bench --bin lotusx-telemetry-bench -- --quick

@@ -3,7 +3,7 @@
 use crate::context::PositionContext;
 use lotusx_guard::{QueryGuard, Ticker};
 use lotusx_index::{GuideNodeId, IndexedDocument, Trie};
-use lotusx_par::{par_map, ShardedMap};
+use lotusx_par::ShardedMap;
 use lotusx_storage::codec::{get_string, get_varint, put_string, put_varint};
 use lotusx_storage::StorageError;
 use lotusx_twig::Axis;
@@ -69,9 +69,8 @@ impl ValueTrieCache {
     }
 
     /// Builds and caches the value tries of the `top_k` most frequent
-    /// tags (ties broken by name), partitioning the builds across
-    /// `threads` workers. Returns the number of tries built.
-    pub fn precompute_hottest(&self, idx: &IndexedDocument, top_k: usize, threads: usize) -> usize {
+    /// tags (ties broken by name). Returns the number of tries built.
+    pub fn precompute_hottest(&self, idx: &IndexedDocument, top_k: usize) -> usize {
         let symbols = idx.document().symbols();
         let mut hot: Vec<Symbol> = symbols
             .iter()
@@ -85,12 +84,11 @@ impl ValueTrieCache {
                 .then_with(|| symbols.resolve(a).cmp(symbols.resolve(b)))
         });
         hot.truncate(top_k);
-        let built = par_map(&hot, threads, |&sym| (sym, build_value_trie(idx, sym)));
-        let n = built.len();
-        for (sym, vt) in built {
-            self.map.get_or_insert_with(sym, || vt);
+        for &sym in &hot {
+            self.map
+                .get_or_insert_with(sym, || build_value_trie(idx, sym));
         }
-        n
+        hot.len()
     }
 
     /// Serializes every cached per-tag trie for the snapshot
@@ -649,7 +647,7 @@ mod tests {
     fn precompute_hottest_seeds_the_cache() {
         let idx = idx();
         let cache = Arc::new(ValueTrieCache::new());
-        let built = cache.precompute_hottest(&idx, 3, 2);
+        let built = cache.precompute_hottest(&idx, 3);
         assert_eq!(built, 3);
         assert_eq!(cache.len(), 3);
         // Precomputed tries answer identically to lazily built ones.
@@ -718,7 +716,7 @@ mod tests {
     fn cache_codec_roundtrip_preserves_completions() {
         let idx = idx();
         let cache = Arc::new(ValueTrieCache::new());
-        cache.precompute_hottest(&idx, 8, 1);
+        cache.precompute_hottest(&idx, 8);
         assert!(!cache.is_empty());
 
         let bytes = cache.encode();
@@ -753,7 +751,7 @@ mod tests {
     fn cache_decode_rejects_malformed_bytes_without_panicking() {
         let idx = idx();
         let cache = ValueTrieCache::new();
-        cache.precompute_hottest(&idx, 8, 1);
+        cache.precompute_hottest(&idx, 8);
         let good = cache.encode();
         let tag_count = idx.document().symbols().len();
 

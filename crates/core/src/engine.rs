@@ -16,11 +16,9 @@
 
 use lotusx_autocomplete::{CompletionEngine, ValueTrieCache};
 use lotusx_guard::{Budget, Completeness, QueryGuard, TruncationReason};
-use lotusx_index::{BuildOptions, IndexedDocument};
+use lotusx_index::IndexedDocument;
 use lotusx_obs::{EventKind, QueryId, QueryProfile, Span, Stage};
-use lotusx_par::{
-    default_threads, par_map_isolated, CacheStats, ShardLoad, ShardedLru, WorkerPanic,
-};
+use lotusx_par::{CacheStats, ShardLoad, ShardedLru};
 use lotusx_rank::{OrderedTopK, RankWeights, Ranker};
 use lotusx_rewrite::{Rewriter, RewriterConfig};
 use lotusx_twig::exec::{execute_budgeted, Algorithm};
@@ -29,6 +27,7 @@ use lotusx_twig::pattern::TwigPattern;
 use lotusx_twig::xpath::{parse_query, ParseError};
 use lotusx_xml::{Document, NodeId, SerializeOptions};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -49,9 +48,9 @@ pub enum LotusError {
     Storage(lotusx_storage::StorageError),
     /// An [`EngineConfig`] failed validation.
     Config(String),
-    /// A worker thread panicked while running this query in a batch. Only
-    /// the panicking slot fails; sibling queries in the same
-    /// [`LotusX::query_batch`] call still return their results.
+    /// This query panicked while running in a batch. Only the panicking
+    /// slot fails; sibling queries in the same [`LotusX::query_batch`]
+    /// call still return their results.
     WorkerPanic(WorkerPanic),
 }
 
@@ -96,6 +95,61 @@ impl From<lotusx_storage::StorageError> for LotusError {
     }
 }
 
+/// A panic caught while running one request of a
+/// [`LotusX::query_batch`] call: which request died and its panic
+/// message. The payload is dropped at the catch site, so the rest of the
+/// batch still runs and the caller gets a structured error instead of an
+/// unwinding thread.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WorkerPanic {
+    /// Position of the panicking request in the batch.
+    pub index: usize,
+    /// The panic message, when it was a `&str` or `String` payload.
+    pub message: String,
+}
+
+impl fmt::Display for WorkerPanic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "request {} panicked: {}", self.index, self.message)
+    }
+}
+
+impl std::error::Error for WorkerPanic {}
+
+/// Renders a panic payload as text (`&str` / `String` payloads; anything
+/// else becomes a placeholder).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Runs `run` on each item in order, catching a panic per item: a
+/// panicking item becomes [`LotusError::WorkerPanic`] in its slot (and
+/// bumps the `worker_panics` counter) while the others run normally.
+fn run_isolated<T, U>(
+    items: &[T],
+    run: impl Fn(&T) -> Result<U, LotusError>,
+) -> Vec<Result<U, LotusError>> {
+    items
+        .iter()
+        .enumerate()
+        .map(|(index, item)| {
+            catch_unwind(AssertUnwindSafe(|| run(item))).unwrap_or_else(|payload| {
+                lotusx_obs::metrics().incr("worker_panics", 1);
+                Err(LotusError::WorkerPanic(WorkerPanic {
+                    index,
+                    message: panic_message(payload.as_ref()),
+                }))
+            })
+        })
+        .collect()
+}
+
 /// The engine's full configuration as one validated value.
 ///
 /// Build one with the fluent setters and apply it atomically with
@@ -120,7 +174,6 @@ pub struct EngineConfig {
     rewriter: RewriterConfig,
     auto_rewrite: bool,
     result_limit: usize,
-    threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -131,14 +184,13 @@ impl Default for EngineConfig {
             rewriter: RewriterConfig::default(),
             auto_rewrite: true,
             result_limit: 100,
-            threads: default_threads(),
         }
     }
 }
 
 impl EngineConfig {
     /// The default configuration (TwigStack pinned, auto-rewrite on,
-    /// 100 results, the host's available parallelism).
+    /// 100 results).
     pub fn new() -> Self {
         Self::default()
     }
@@ -180,14 +232,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the worker-thread count for partitioned search and ranking
-    /// (`1` = fully serial). Outcomes are identical for every thread
-    /// count, so changing only this never invalidates the query cache.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// The pinned algorithm (`None` = per-query auto-selection).
     pub fn pinned_algorithm(&self) -> Option<Algorithm> {
         self.algorithm
@@ -213,18 +257,14 @@ impl EngineConfig {
         self.result_limit
     }
 
-    /// The worker-thread count.
+    /// Always 1: every query runs on its caller's thread. Kept only for
+    /// the end-to-end benchmark harness, which reads it.
     pub fn threads_value(&self) -> usize {
-        self.threads
+        1
     }
 
     /// Checks the configuration for nonsensical values.
     pub fn validate(&self) -> Result<(), LotusError> {
-        if self.threads == 0 {
-            return Err(LotusError::Config(
-                "threads must be at least 1 (1 = serial)".into(),
-            ));
-        }
         for (name, w) in [
             ("structure", self.weights.structure),
             ("content", self.weights.content),
@@ -630,7 +670,7 @@ impl LotusX {
     /// hottest tags exactly as [`Self::load_document`] does.
     pub fn from_indexed(idx: IndexedDocument) -> Self {
         let value_cache = ValueTrieCache::new();
-        value_cache.precompute_hottest(&idx, HOT_TAG_TRIES, EngineConfig::default().threads);
+        value_cache.precompute_hottest(&idx, HOT_TAG_TRIES);
         Self::assemble(idx, value_cache)
     }
 
@@ -651,16 +691,10 @@ impl LotusX {
         self.idx
     }
 
-    /// Indexes an already-parsed document, partitioning index construction
-    /// across the host's worker threads and pre-building the value tries
+    /// Indexes an already-parsed document and pre-builds the value tries
     /// of the hottest tags.
     pub fn load_document(doc: Document) -> Self {
-        Self::from_indexed(IndexedDocument::build_with(
-            doc,
-            &BuildOptions {
-                threads: default_threads(),
-            },
-        ))
+        Self::from_indexed(IndexedDocument::build(doc))
     }
 
     /// The underlying indexed document.
@@ -720,11 +754,6 @@ impl LotusX {
         }
     }
 
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.config.threads
-    }
-
     /// Aggregate hit/miss statistics of the query-result cache.
     pub fn query_cache_stats(&self) -> CacheStats {
         self.query_cache.stats()
@@ -762,24 +791,14 @@ impl LotusX {
         }
     }
 
-    /// Runs many requests, partitioned across the worker threads. The
-    /// result at position `i` is exactly `self.query(&requests[i])`.
+    /// Runs many requests in order on the calling thread. The result at
+    /// position `i` is exactly `self.query(&requests[i])`.
     ///
-    /// Worker panics are isolated: a panic while running one request
-    /// surfaces as [`LotusError::WorkerPanic`] in that slot (after a
-    /// serial retry of the affected chunk narrows it to the poisoned
-    /// request) while every sibling request still completes normally.
+    /// Panics are isolated per request: a panic while running one
+    /// request surfaces as [`LotusError::WorkerPanic`] in that slot while
+    /// every other request still completes normally.
     pub fn query_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, LotusError>> {
-        par_map_isolated(requests, self.config.threads, |r| self.query(r))
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(response) => response,
-                Err(panic) => {
-                    lotusx_obs::metrics().incr("worker_panics", 1);
-                    Err(LotusError::WorkerPanic(panic))
-                }
-            })
-            .collect()
+        run_isolated(requests, |r| self.query(r))
     }
 
     /// Profiles one twig query: shorthand for a profiled [`Self::query`],
@@ -911,7 +930,6 @@ impl LotusX {
                 executed: pattern.to_string(),
                 algorithm: executed_algorithm.map(|a| a.name().to_string()),
                 cache_hit: hit,
-                threads: self.config.threads,
                 candidates: outcome.total_matches,
                 results: outcome.results.len(),
                 rewritten: outcome.rewrite.as_ref().map(|i| i.pattern.to_string()),
@@ -1009,7 +1027,6 @@ impl LotusX {
             executed: request.text.clone(),
             algorithm: None,
             cache_hit: false,
-            threads: self.config.threads,
             candidates: total_matches,
             results: results.len(),
             rewritten: None,
@@ -1071,7 +1088,7 @@ impl LotusX {
     ) -> (SearchOutcome, Algorithm) {
         let algorithm = self.algorithm_for(pattern, algorithm_override, recording, qid);
         let matches = run_stage(span, Stage::Match, recording, qid, |s| {
-            execute_budgeted(&self.idx, pattern, algorithm, self.config.threads, s, guard)
+            execute_budgeted(&self.idx, pattern, algorithm, 1, s, guard)
         });
         // A tripped guard suppresses rewriting: a truncated empty run says
         // nothing about whether the query is truly empty, and the budget
@@ -1097,14 +1114,7 @@ impl LotusX {
                 let algorithm =
                     self.algorithm_for(&best.pattern, algorithm_override, recording, qid);
                 let matches = run_stage(span, Stage::Match, recording, qid, |s| {
-                    execute_budgeted(
-                        &self.idx,
-                        &best.pattern,
-                        algorithm,
-                        self.config.threads,
-                        s,
-                        guard,
-                    )
+                    execute_budgeted(&self.idx, &best.pattern, algorithm, 1, s, guard)
                 });
                 let info = RewriteInfo {
                     pattern: best.pattern.clone(),
@@ -1157,7 +1167,7 @@ impl LotusX {
         let total_matches = matches.len();
         let ranked = run_stage(span, Stage::Rank, recording, qid, |s| {
             let ranker = Ranker::with_weights(&self.idx, self.config.weights);
-            ranker.rank_top_k_budgeted(pattern, matches, limit, self.config.threads, s, guard)
+            ranker.rank_top_k_budgeted(pattern, matches, limit, s, guard)
         });
         let results = run_stage(span, Stage::Serialize, recording, qid, |s| {
             let doc = self.idx.document();
@@ -1288,12 +1298,6 @@ mod tests {
     #[test]
     fn reconfigure_validates() {
         let mut system = LotusX::load_str(BIB).unwrap();
-        let bad = system.config().clone().threads(0);
-        assert!(matches!(
-            system.reconfigure(bad),
-            Err(LotusError::Config(_))
-        ));
-        assert_eq!(system.threads(), default_threads(), "unchanged on error");
         let bad = system.config().clone().rank_weights(RankWeights {
             structure: f64::NAN,
             ..RankWeights::default()
@@ -1302,6 +1306,11 @@ mod tests {
             system.reconfigure(bad),
             Err(LotusError::Config(_))
         ));
+        assert_eq!(
+            system.config().weights().structure,
+            RankWeights::default().structure,
+            "unchanged on error"
+        );
     }
 
     #[test]
@@ -1517,16 +1526,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_only_changes_keep_the_cache() {
-        let mut system = LotusX::load_str(BIB).unwrap();
-        system.query(&twig("//author")).unwrap();
-        let config = system.config().clone().threads(2);
-        system.reconfigure(config).unwrap();
-        system.query(&twig("//author")).unwrap();
-        assert_eq!(system.query_cache_stats().hits, 1, "cache survives");
-    }
-
-    #[test]
     fn batch_query_matches_individual_queries() {
         let system = LotusX::load_str(BIB).unwrap();
         let requests: Vec<QueryRequest> = [
@@ -1555,36 +1554,27 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_outcomes() {
-        let mut serial = LotusX::load_str(BIB).unwrap();
-        serial
-            .reconfigure(serial.config().clone().threads(1))
-            .unwrap();
-        let mut parallel = LotusX::load_str(BIB).unwrap();
-        for threads in [2, 8] {
-            parallel
-                .reconfigure(parallel.config().clone().threads(threads))
-                .unwrap();
-            assert_eq!(parallel.threads(), threads);
-            for q in [
-                "//book/title",
-                "//book[title][author]",
-                "ordered //book[title][year]",
-            ] {
-                let a = serial.query(&twig(q)).unwrap();
-                let b = parallel.query(&twig(q)).unwrap();
-                assert_eq!(a.total_matches, b.total_matches, "{q} at {threads}");
-                let ka: Vec<_> = a
-                    .matches
-                    .iter()
-                    .map(|r| (r.bindings.clone(), r.score.to_bits()))
-                    .collect();
-                let kb: Vec<_> = b
-                    .matches
-                    .iter()
-                    .map(|r| (r.bindings.clone(), r.score.to_bits()))
-                    .collect();
-                assert_eq!(ka, kb, "{q} at {threads}");
+    fn batch_panics_fail_only_their_own_slot() {
+        let outcomes = run_isolated(&[1, 2, 3, 4], |&n| {
+            if n % 2 == 0 {
+                panic!("poisoned item {n}");
+            }
+            Ok(n * 10)
+        });
+        assert_eq!(outcomes.len(), 4);
+        assert_eq!(outcomes[0].as_ref().unwrap(), &10);
+        assert_eq!(outcomes[2].as_ref().unwrap(), &30);
+        for (index, slot) in [(1, &outcomes[1]), (3, &outcomes[3])] {
+            match slot {
+                Err(LotusError::WorkerPanic(p)) => {
+                    assert_eq!(p.index, index);
+                    assert_eq!(p.message, format!("poisoned item {}", index + 1));
+                    assert_eq!(
+                        p.to_string(),
+                        format!("request {index} panicked: poisoned item {}", index + 1)
+                    );
+                }
+                other => panic!("slot {index}: expected a WorkerPanic, got {other:?}"),
             }
         }
     }

@@ -41,7 +41,7 @@ pub use canvas::{CanvasError, CanvasNodeId, QueryCanvas};
 pub use corpus::{Corpus, CorpusResult};
 pub use engine::{
     EngineConfig, LotusError, LotusX, QueryKind, QueryRequest, QueryResponse, SearchOutcome,
-    SearchResult,
+    SearchResult, WorkerPanic,
 };
 pub use registry::{EngineRegistry, Tenant};
 pub use routing::{
@@ -60,7 +60,6 @@ pub use lotusx_guard::{
 };
 pub use lotusx_index::IndexedDocument;
 pub use lotusx_obs::QueryProfile;
-pub use lotusx_par::WorkerPanic;
 pub use lotusx_rank::RankWeights;
 pub use lotusx_rewrite::{RankedRewrite, RewriterConfig};
 pub use lotusx_twig::{Algorithm, Axis, NodeTest, TwigPattern, ValuePredicate};

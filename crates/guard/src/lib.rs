@@ -261,7 +261,7 @@ struct GuardInner {
 /// The shared runtime handle the pipeline charges work against.
 ///
 /// Cloning is an `Arc` clone — the engine creates one guard per request
-/// and every stage (including parallel workers) shares it. The first
+/// and every stage shares it. The first
 /// limit to trip wins and is sticky; later checks only observe it.
 #[derive(Clone)]
 pub struct QueryGuard {

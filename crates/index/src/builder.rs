@@ -7,26 +7,14 @@ use crate::tag_index::{ElementEntry, TagIndex};
 use crate::trie::Trie;
 use crate::value_index::ValueIndex;
 use lotusx_labeling::DocumentLabels;
-use lotusx_par::par_chunks;
 use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
 
-/// Options controlling index construction.
-#[derive(Clone, Copy, Debug)]
-pub struct BuildOptions {
-    /// Worker threads for the partitioned build phases. `1` runs every
-    /// phase inline on the calling thread; the output is identical for
-    /// any value (chunks are contiguous in preorder and merged in chunk
-    /// order, so document order — and thus every index — is preserved).
-    pub threads: usize,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            threads: lotusx_par::default_threads(),
-        }
-    }
-}
+/// Options controlling index construction. There are none: the build is
+/// one serial pipeline on the caller's thread. The type and
+/// [`IndexedDocument::build_with`] remain only because the end-to-end
+/// benchmark harness calls them.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BuildOptions;
 
 /// A document together with its labels and all indexes — the unit LotusX
 /// loads and queries.
@@ -84,55 +72,29 @@ impl IndexedDocument {
         Ok(Self::build(Document::parse_str(xml)?))
     }
 
-    /// Builds all indexes over an already-parsed document, serially.
+    /// Builds all indexes over an already-parsed document.
     ///
-    /// Equivalent to [`Self::build_with`] at `threads: 1`; the parallel
-    /// build produces identical indexes for any thread count.
+    /// The pipeline has three phases, all on the calling thread:
+    ///
+    /// 1. labels, DataGuide and stats — three whole-document passes;
+    /// 2. one preorder walk building the element→guide-node map and every
+    ///    posting list, in document order;
+    /// 3. the two completion tries, which only read the finished indexes.
     pub fn build(doc: Document) -> Self {
-        Self::build_with(doc, &BuildOptions { threads: 1 })
-    }
-
-    /// Builds all indexes, partitioning the per-element work across
-    /// `opts.threads` worker threads.
-    ///
-    /// The pipeline has four phases:
-    ///
-    /// 1. labels ∥ DataGuide ∥ stats — three independent whole-document
-    ///    passes, one per thread;
-    /// 2. a serial preorder walk computing the element list and the
-    ///    element→guide-node map (each entry depends on its parent's, so
-    ///    this is inherently sequential — and O(1) per node);
-    /// 3. partitioned posting construction: contiguous preorder chunks
-    ///    each build a partial [`TagIndex`]/[`ValueIndex`]/element stream,
-    ///    merged in chunk order so document order is preserved exactly;
-    /// 4. the two completion tries (tags ∥ terms), which only read the
-    ///    merged indexes.
-    pub fn build_with(doc: Document, opts: &BuildOptions) -> Self {
-        let threads = opts.threads.max(1);
-
         // Phase 1: independent whole-document passes.
-        let (labels, guide, stats) = if threads > 1 {
-            std::thread::scope(|s| {
-                let guide = s.spawn(|| DataGuide::from_document(&doc));
-                let stats = s.spawn(|| Stats::compute(&doc));
-                let labels = DocumentLabels::compute(&doc);
-                (
-                    labels,
-                    guide.join().expect("guide pass"),
-                    stats.join().expect("stats pass"),
-                )
-            })
-        } else {
-            (
-                DocumentLabels::compute(&doc),
-                DataGuide::from_document(&doc),
-                Stats::compute(&doc),
-            )
-        };
+        let labels = DocumentLabels::compute(&doc);
+        let guide = DataGuide::from_document(&doc);
+        let stats = Stats::compute(&doc);
 
-        // Phase 2: preorder element list and the element→guide-node map.
+        // Phase 2: one preorder walk builds the element→guide-node map
+        // (each entry depends on its parent's — O(1) per node) and the
+        // postings: tag streams, value index and the all-elements stream,
+        // each appended in document order.
+        let tag_count = doc.symbols().len();
         let mut guide_of = vec![GuideNodeId::ROOT; doc.node_count()];
-        let mut elements = Vec::with_capacity(stats.element_count);
+        let mut tags = TagIndex::with_tag_count(tag_count);
+        let mut values = ValueIndex::new();
+        let mut all_elements = Vec::with_capacity(stats.element_count);
         for node in doc.all_nodes() {
             if node == NodeId::DOCUMENT || !doc.is_element(node) {
                 continue;
@@ -145,83 +107,45 @@ impl IndexedDocument {
             guide_of[node.index()] = guide
                 .child_by_tag(parent_guide, tag)
                 .expect("guide derived from the same document");
-            elements.push(node);
-        }
-
-        // Phase 3: per-chunk partial postings, merged in chunk order.
-        let tag_count = doc.symbols().len();
-        let partials = par_chunks(&elements, threads, |_, chunk| {
-            let mut tags = TagIndex::with_tag_count(tag_count);
-            let mut values = ValueIndex::new();
-            let mut stream = Vec::with_capacity(chunk.len());
-            for &node in chunk {
-                let tag = doc.tag(node).expect("element");
-                let entry = ElementEntry {
-                    node,
-                    region: labels.region(node),
-                };
-                tags.push(tag, entry);
-                stream.push(entry);
-                let direct_text = doc.direct_text(node);
-                let attrs: Vec<&str> = match doc.kind(node) {
-                    NodeKind::Element { attributes, .. } => {
-                        attributes.iter().map(|(_, v)| v.as_str()).collect()
-                    }
-                    _ => unreachable!(),
-                };
-                values.index_element(node, &direct_text, &attrs);
-            }
-            (tags, values, stream)
-        });
-        let mut tags = TagIndex::with_tag_count(tag_count);
-        let mut values = ValueIndex::new();
-        let mut all_elements = Vec::with_capacity(elements.len());
-        for (t, v, stream) in partials {
-            tags.merge_append(t);
-            values.merge_append(v);
-            all_elements.extend(stream);
+            let entry = ElementEntry {
+                node,
+                region: labels.region(node),
+            };
+            tags.push(tag, entry);
+            all_elements.push(entry);
+            let direct_text = doc.direct_text(node);
+            let attrs: Vec<&str> = match doc.kind(node) {
+                NodeKind::Element { attributes, .. } => {
+                    attributes.iter().map(|(_, v)| v.as_str()).collect()
+                }
+                _ => unreachable!(),
+            };
+            values.index_element(node, &direct_text, &attrs);
         }
         values.finish();
 
-        // Columnar (struct-of-arrays) mirror of the merged tag streams —
-        // the layout the join engine scans. Derived entirely from the
-        // merged postings, so it is identical for any thread count.
+        // Columnar (struct-of-arrays) mirror of the tag streams — the
+        // layout the join engine scans.
         let columns = TagColumns::build(&tags, &all_elements, tag_count);
         let join_stats = JoinStats::compute(&tags, &guide, tag_count);
 
-        // Phase 4: the two completion tries are independent of each other.
-        // Insertion order is fixed (symbol order / sorted terms), so the
-        // tries are identical however the closures are scheduled.
-        let build_tag_trie = || {
-            // Tag trie: element tags only, weighted by occurrence count.
-            let mut tag_trie = Trie::new();
-            for (sym, name) in doc.symbols().iter() {
-                let freq = tags.frequency(sym);
-                if freq > 0 {
-                    tag_trie.insert(name, sym.index() as u32, freq as u64);
-                }
+        // Phase 3: the completion tries. Tag trie: element tags only,
+        // weighted by occurrence count.
+        let mut tag_trie = Trie::new();
+        for (sym, name) in doc.symbols().iter() {
+            let freq = tags.frequency(sym);
+            if freq > 0 {
+                tag_trie.insert(name, sym.index() as u32, freq as u64);
             }
-            tag_trie
-        };
-        let build_term_trie = || {
-            // Term trie: payload is an id into `terms`, weighted by
-            // document frequency.
-            let mut terms: Vec<String> = values.terms().map(|(t, _)| t.to_string()).collect();
-            terms.sort();
-            let mut term_trie = Trie::new();
-            for (i, term) in terms.iter().enumerate() {
-                term_trie.insert(term, i as u32, values.df(term) as u64);
-            }
-            (terms, term_trie)
-        };
-        let (tag_trie, (terms, term_trie)) = if threads > 1 {
-            std::thread::scope(|s| {
-                let term = s.spawn(build_term_trie);
-                (build_tag_trie(), term.join().expect("term trie pass"))
-            })
-        } else {
-            (build_tag_trie(), build_term_trie())
-        };
+        }
+        // Term trie: payload is an id into `terms`, weighted by document
+        // frequency.
+        let mut terms: Vec<String> = values.terms().map(|(t, _)| t.to_string()).collect();
+        terms.sort();
+        let mut term_trie = Trie::new();
+        for (i, term) in terms.iter().enumerate() {
+            term_trie.insert(term, i as u32, values.df(term) as u64);
+        }
 
         IndexedDocument {
             doc,
@@ -238,6 +162,12 @@ impl IndexedDocument {
             join_stats,
             all_elements,
         }
+    }
+
+    /// [`Self::build`]; `_opts` is ignored. Kept only for the end-to-end
+    /// benchmark harness, which calls it.
+    pub fn build_with(doc: Document, _opts: &BuildOptions) -> Self {
+        Self::build(doc)
     }
 
     /// Reassembles an `IndexedDocument` from deserialized parts (the
@@ -412,48 +342,6 @@ mod tests {
             let gnode = idx.guide_node(node);
             let expected = idx.guide().lookup_path(&doc.tag_path(node)).unwrap();
             assert_eq!(gnode, expected);
-        }
-    }
-
-    #[test]
-    fn parallel_build_is_identical_to_serial() {
-        let xml = "<bib>\
-               <book year=\"1999\"><title>Data on the Web</title><author>Abiteboul</author></book>\
-               <book year=\"2003\"><title>XML Handbook</title><author>Goldfarb</author></book>\
-               <article><title>TwigStack</title><author>Bruno</author></article>\
-             </bib>";
-        let serial = IndexedDocument::from_str(xml).unwrap();
-        for threads in [2, 3, 8] {
-            let par = IndexedDocument::build_with(
-                Document::parse_str(xml).unwrap(),
-                &BuildOptions { threads },
-            );
-            assert_eq!(par.all_elements(), serial.all_elements(), "{threads}");
-            for (sym, _) in serial.document().symbols().iter() {
-                assert_eq!(
-                    par.tags().stream(sym),
-                    serial.tags().stream(sym),
-                    "{threads}"
-                );
-            }
-            for node in serial.document().all_nodes() {
-                if serial.document().is_element(node) {
-                    assert_eq!(par.guide_node(node), serial.guide_node(node), "{threads}");
-                }
-            }
-            for (term, df) in serial.values().terms() {
-                assert_eq!(par.values().df(term), df, "{threads}");
-            }
-            assert_eq!(
-                par.tag_trie().complete("", 100),
-                serial.tag_trie().complete("", 100),
-                "{threads}"
-            );
-            assert_eq!(
-                par.term_trie().complete("", 1000),
-                serial.term_trie().complete("", 1000),
-                "{threads}"
-            );
         }
     }
 

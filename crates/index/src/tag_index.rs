@@ -42,35 +42,6 @@ impl TagIndex {
         list.push(entry);
     }
 
-    /// Appends all streams of `other` after the streams of `self`.
-    ///
-    /// `other` must have been built over a later contiguous chunk of the
-    /// same document, so that concatenation preserves document order per
-    /// tag; this is checked in debug builds. Used by the parallel builder
-    /// to merge per-chunk partial indexes.
-    pub fn merge_append(&mut self, other: TagIndex) {
-        if other.postings.len() > self.postings.len() {
-            self.postings.resize(other.postings.len(), Vec::new());
-        }
-        for (i, list) in other.postings.into_iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
-            let dst = &mut self.postings[i];
-            debug_assert!(
-                dst.last()
-                    .map(|prev| prev.region.start < list[0].region.start)
-                    .unwrap_or(true),
-                "merged chunks must follow document order"
-            );
-            if dst.is_empty() {
-                *dst = list;
-            } else {
-                dst.extend(list);
-            }
-        }
-    }
-
     /// The document-ordered stream for `tag` (empty if never seen).
     pub fn stream(&self, tag: Symbol) -> &[ElementEntry] {
         self.postings

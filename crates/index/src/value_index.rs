@@ -89,23 +89,6 @@ impl ValueIndex {
         }
     }
 
-    /// Appends all postings of `other` after the postings of `self`.
-    ///
-    /// `other` must have been indexed over a later contiguous chunk of the
-    /// same document, so per-term posting lists stay in document order.
-    /// Call [`Self::finish`] once after the last merge. Used by the
-    /// parallel builder to merge per-chunk partial indexes.
-    pub fn merge_append(&mut self, other: ValueIndex) {
-        for (term, postings) in other.terms {
-            self.terms.entry(term).or_default().extend(postings);
-        }
-        for (value, nodes) in other.exact {
-            self.exact.entry(value).or_default().extend(nodes);
-        }
-        self.numeric.extend(other.numeric);
-        self.content_elements += other.content_elements;
-    }
-
     /// Finishes construction: sorts the numeric index.
     pub fn finish(&mut self) {
         self.numeric

@@ -3,7 +3,7 @@
 //! When tracing is on ([`set_tracing`]), the engine emits one
 //! [`TraceEvent`] per interesting moment of a query's life — query
 //! begin/end, stage enter/exit, per-shard cache hits, budget trips,
-//! worker activity, rewrite decisions — into a lock-free bounded
+//! rewrite decisions — into a lock-free bounded
 //! [`EventRing`](crate::ring::EventRing). Nothing on the hot path ever
 //! blocks: a full ring drops the event and counts it. The CLI (or any
 //! embedder) drains the ring into a Chrome trace-event JSON or a JSONL
@@ -151,16 +151,6 @@ pub enum EventKind {
         /// The stable truncation-reason name.
         reason: &'static str,
     },
-    /// A parallel worker picked up a chunk.
-    WorkerBegin {
-        /// Chunk index within the parallel job.
-        chunk: u32,
-    },
-    /// A parallel worker finished its chunk.
-    WorkerEnd {
-        /// Chunk index within the parallel job.
-        chunk: u32,
-    },
     /// A worker panicked and was isolated.
     WorkerPanicked,
     /// The empty-result rewriter ran.
@@ -226,8 +216,6 @@ impl EventKind {
             EventKind::StageEnd { .. } => "stage_end",
             EventKind::CacheAccess { .. } => "cache_access",
             EventKind::BudgetTrip { .. } => "budget_trip",
-            EventKind::WorkerBegin { .. } => "worker_begin",
-            EventKind::WorkerEnd { .. } => "worker_end",
             EventKind::WorkerPanicked => "worker_panic",
             EventKind::Rewrite { .. } => "rewrite",
             EventKind::AlgoChosen { .. } => "algo_chosen",
@@ -246,8 +234,8 @@ impl EventKind {
 pub struct TraceEvent {
     /// Nanoseconds since the process trace epoch.
     pub ts_ns: u64,
-    /// Worker lane (0 = coordinating thread, 1.. = parallel workers; see
-    /// `lotusx_par::current_lane`).
+    /// Trace lane: 0 for engine events, [`conn_lane`] for events the
+    /// serving layer attributes to a connection.
     pub lane: u32,
     /// The query this event belongs to (`QueryId::NONE` when unknown).
     pub query: QueryId,
@@ -258,10 +246,10 @@ pub struct TraceEvent {
 /// Default trace-ring capacity in events (~1 MiB of 32-byte events).
 pub const DEFAULT_RING_CAPACITY: usize = 32_768;
 
-/// First lane id of the per-connection lane namespace. Worker lanes
-/// (from `lotusx-par`) are small integers; connection-attributed events
-/// live on `CONN_LANE_BASE + conn` so the two never collide and the
-/// exporter can label them `conn-N`.
+/// First lane id of the per-connection lane namespace. Engine events
+/// live on lane 0; connection-attributed events live on
+/// `CONN_LANE_BASE + conn` so the two never collide and the exporter can
+/// label them `conn-N`.
 pub const CONN_LANE_BASE: u32 = 1 << 20;
 
 /// The trace lane of connection `conn` (wraps inside the connection
@@ -282,12 +270,9 @@ pub fn tracing() -> bool {
     TRACING.load(Ordering::Relaxed)
 }
 
-/// Turns event tracing on or off. The first enable installs the
-/// parallel-executor worker observer so worker lanes show up in traces.
+/// Turns event tracing on or off.
 pub fn set_tracing(on: bool) {
     if on {
-        // Idempotent: the executor accepts one observer for the process.
-        lotusx_par::set_worker_observer(worker_observer);
         // Pin the epoch so the first events don't all start at ts 0.
         let _ = trace_epoch();
     }
@@ -316,8 +301,8 @@ pub fn trace_now_ns() -> u64 {
 }
 
 /// Emits one event for `query` if tracing is on: stamps the current
-/// time and worker lane and pushes into the ring (dropping, never
-/// blocking, when full).
+/// time and the engine lane (0) and pushes into the ring (dropping,
+/// never blocking, when full).
 #[inline]
 pub fn emit(query: QueryId, kind: EventKind) {
     if !tracing() {
@@ -325,14 +310,14 @@ pub fn emit(query: QueryId, kind: EventKind) {
     }
     trace_ring().push(TraceEvent {
         ts_ns: trace_now_ns(),
-        lane: lotusx_par::current_lane(),
+        lane: 0,
         query,
         kind,
     });
 }
 
 /// Like [`emit`], but placing the event on an explicit lane instead of
-/// the calling thread's worker lane. The serving layer uses this to put
+/// the engine lane. The serving layer uses this to put
 /// connection-lifecycle events — and the HTTP stage slices computed on
 /// its worker threads — on the owning connection's lane
 /// ([`conn_lane`]), so Perfetto renders one lane per connection.
@@ -357,21 +342,6 @@ pub fn drain_events() -> Vec<TraceEvent> {
 /// The ring's produced/dropped/exported counters.
 pub fn trace_counters() -> RingCounters {
     trace_ring().counters()
-}
-
-/// The executor hook: emits worker begin/end events on the worker's own
-/// lane whenever a parallel chunk runs while tracing is on.
-fn worker_observer(chunk: usize, begin: bool) {
-    if !tracing() {
-        return;
-    }
-    let chunk = chunk.min(u32::MAX as usize) as u32;
-    let kind = if begin {
-        EventKind::WorkerBegin { chunk }
-    } else {
-        EventKind::WorkerEnd { chunk }
-    };
-    emit(QueryId::NONE, kind);
 }
 
 #[cfg(test)]
@@ -421,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn conn_lanes_never_collide_with_worker_lanes() {
+    fn conn_lanes_never_collide_with_the_engine_lane() {
         assert_eq!(conn_lane(0), CONN_LANE_BASE);
         assert_eq!(conn_lane(7), CONN_LANE_BASE + 7);
         // Wraps inside the namespace rather than spilling out of it.

@@ -2,10 +2,10 @@
 //! `chrome://tracing` and Perfetto) and a line-per-event JSONL log.
 //!
 //! The Chrome format is the "JSON Array Format" with duration (`B`/`E`)
-//! and instant (`i`) phases: every worker lane from `lotusx-par` becomes
-//! a named thread (`tid` = lane), query and stage events nest into
-//! slices on the lane that executed them, and point events (cache
-//! accesses, budget trips, rewrites, panics) render as instants.
+//! and instant (`i`) phases: engine events sit on the `main` lane
+//! (`tid` 0), query and stage events nest into slices there, and point
+//! events (cache accesses, budget trips, rewrites, panics) render as
+//! instants.
 //! Timestamps are microseconds since the trace epoch, with sub-µs
 //! precision kept as fractions.
 //!
@@ -50,8 +50,6 @@ fn chrome_event(e: &TraceEvent) -> String {
             format!("\"shard\":{shard}"),
         ),
         EventKind::BudgetTrip { reason } => ("i", format!("budget_trip:{reason}"), String::new()),
-        EventKind::WorkerBegin { chunk } => ("B", format!("chunk#{chunk}"), String::new()),
-        EventKind::WorkerEnd { chunk } => ("E", format!("chunk#{chunk}"), String::new()),
         EventKind::WorkerPanicked => ("i", "worker_panic".to_string(), String::new()),
         EventKind::Rewrite { accepted } => (
             "i",
@@ -121,7 +119,8 @@ fn phase_event(ph: &str, name: &str, lane: u32, ts_ns: u64) -> String {
 }
 
 /// Renders events as a complete Chrome trace-event JSON document
-/// (`{"traceEvents":[...]}`) with one named lane per worker thread.
+/// (`{"traceEvents":[...]}`) with the `main` engine lane and one named
+/// lane per connection.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     chrome_trace_json_with(events, None)
 }
@@ -160,10 +159,8 @@ pub fn chrome_trace_json_with(events: &[TraceEvent], counters: Option<RingCounte
     for lane in &lanes {
         let label = if *lane >= CONN_LANE_BASE {
             format!("conn-{}", lane - CONN_LANE_BASE)
-        } else if *lane == 0 {
-            "main".to_string()
         } else {
-            format!("worker-{lane}")
+            "main".to_string()
         };
         push(
             format!(
@@ -236,9 +233,6 @@ pub fn jsonl_log(events: &[TraceEvent]) -> String {
             EventKind::BudgetTrip { reason } => {
                 line.push_str(&format!(",\"reason\":{}", json_string(reason)));
             }
-            EventKind::WorkerBegin { chunk } | EventKind::WorkerEnd { chunk } => {
-                line.push_str(&format!(",\"chunk\":{chunk}"));
-            }
             EventKind::AlgoChosen { algorithm } => {
                 line.push_str(&format!(",\"algorithm\":{}", json_string(algorithm)));
             }
@@ -298,18 +292,6 @@ mod tests {
                 kind: EventKind::StageBegin { stage: "match" },
             },
             TraceEvent {
-                ts_ns: 2_000,
-                lane: 1,
-                query: QueryId::NONE,
-                kind: EventKind::WorkerBegin { chunk: 0 },
-            },
-            TraceEvent {
-                ts_ns: 2_200,
-                lane: 1,
-                query: QueryId::NONE,
-                kind: EventKind::WorkerEnd { chunk: 0 },
-            },
-            TraceEvent {
                 ts_ns: 2_500,
                 lane: 0,
                 query: q,
@@ -342,7 +324,6 @@ mod tests {
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"process_name\""));
         assert!(json.contains("{\"name\":\"main\"}"));
-        assert!(json.contains("{\"name\":\"worker-1\"}"));
         assert!(json.contains("\"name\":\"query#7\",\"cat\":\"query_begin\",\"ph\":\"B\""));
         assert!(json.contains("\"name\":\"match\""));
         assert!(json.contains("budget_trip:deadline_exceeded"));
@@ -361,11 +342,11 @@ mod tests {
     fn jsonl_is_one_object_per_line() {
         let log = jsonl_log(&sample_events());
         let lines: Vec<&str> = log.lines().collect();
-        assert_eq!(lines.len(), 7);
+        assert_eq!(lines.len(), 5);
         assert!(lines[0].contains("\"kind\":\"query_begin\""));
         assert!(lines[1].contains("\"stage\":\"match\""));
-        assert!(lines[4].contains("\"reason\":\"deadline_exceeded\""));
-        assert!(lines[6].contains("\"results\":3"));
+        assert!(lines[2].contains("\"reason\":\"deadline_exceeded\""));
+        assert!(lines[4].contains("\"results\":3"));
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
             assert_eq!(line.matches('{').count(), line.matches('}').count());

@@ -4,7 +4,7 @@
 //! nestable timing spans, log2-bucketed latency histograms with
 //! p50/p95/p99, named counters, per-query [`QueryProfile`]s, a bounded
 //! slow-query log, and a `metrics.json`-able snapshot — all on `std`
-//! only (thread safety reuses the `lotusx-par` primitives).
+//! only (the metric registry reuses `lotusx-par`'s sharded map).
 //!
 //! Two recording paths:
 //!

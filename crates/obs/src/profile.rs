@@ -16,8 +16,6 @@ pub struct QueryProfile {
     pub algorithm: Option<String>,
     /// Whether the outcome came from the query-result cache.
     pub cache_hit: bool,
-    /// Worker threads the engine was configured with.
-    pub threads: usize,
     /// Matches produced before top-k truncation.
     pub candidates: usize,
     /// Results returned after truncation.
@@ -60,10 +58,9 @@ impl QueryProfile {
             (None, false) => {}
         }
         out.push_str(&format!(
-            "candidates: {}  results: {}  threads: {}  cache: {}\n",
+            "candidates: {}  results: {}  cache: {}\n",
             self.candidates,
             self.results,
-            self.threads,
             if self.cache_hit { "hit" } else { "miss" }
         ));
         out.push_str(&self.span.render());
@@ -82,7 +79,6 @@ mod tests {
             executed: "//book/title".into(),
             algorithm: Some("twigstack".into()),
             cache_hit: false,
-            threads: 4,
             candidates: 123,
             results: 10,
             rewritten: None,

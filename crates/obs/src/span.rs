@@ -4,7 +4,7 @@
 //! spans are opened with [`Span::child`] (RAII: the child records itself
 //! into its parent when the guard drops) and the finished tree is a plain
 //! [`SpanRecord`] value that can be rendered, summed, or attached to a
-//! `QueryProfile`. Spans are `Sync`: parallel workers may annotate one
+//! `QueryProfile`. Spans are `Sync`: several threads may annotate one
 //! span or open children concurrently — records are pushed under a
 //! mutex, never read on the hot path.
 

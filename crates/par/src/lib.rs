@@ -1,31 +1,20 @@
 //! # lotusx-par
 //!
-//! A minimal parallel-execution and concurrent-caching toolkit for the
-//! LotusX engine, built entirely on `std::thread::scope` — the environment
-//! this repository targets has no access to crates.io, so rayon and
-//! friends are off the table.
+//! The concurrent caches the LotusX engine shares across the serving
+//! layer's worker threads, on `std` only. Requests run concurrently on
+//! the server's worker pool; each request runs on its caller's thread,
+//! so this crate holds no executor — only the state those threads share:
 //!
-//! Three pieces:
-//!
-//! * [`executor`] — deterministic chunked `par_map` / `par_chunks` /
-//!   `par_fold` over slices. Chunks are contiguous and results are merged
-//!   in chunk order, so every combinator is order-preserving: the output
-//!   is byte-identical for any thread count.
 //! * [`sharded`] — [`ShardedMap`], a fixed-shard `RwLock<HashMap>` used
 //!   as a build-once-read-many cache (per-tag value tries).
-//! * [`lru`] — [`ConcurrentLru`], a mutex-protected LRU with atomic
-//!   hit/miss counters (the engine's query-result cache).
+//! * [`lru`] — [`ShardedLru`] over [`ConcurrentLru`] shards,
+//!   mutex-protected LRUs with atomic hit/miss counters (the engine's
+//!   query-result cache).
 
 #![warn(missing_docs)]
 
-pub mod executor;
 pub mod lru;
 pub mod sharded;
 
-pub use executor::{
-    current_lane, default_threads, executor_stats, panic_message, par_chunks, par_chunks_weighted,
-    par_fold, par_map, par_map_isolated, reset_executor_stats, set_worker_observer, try_par_chunks,
-    ExecutorStats, WorkerPanic,
-};
 pub use lru::{CacheStats, ConcurrentLru, ShardedLru};
 pub use sharded::{ShardLoad, ShardedMap};

@@ -141,56 +141,43 @@ impl<'a> Ranker<'a> {
         scored
     }
 
-    /// Scores matches across `threads` workers and returns the best `k`.
+    /// Scores every match and returns the best `k`.
     ///
-    /// Exactly equal to `self.rank(pattern, matches)` truncated to `k`
-    /// for every thread count: the (score descending, document-order
-    /// ascending) tie-break is a total order, so per-chunk bounded
-    /// [`OrderedTopK`] collectors merge to the exact global top-k, and
-    /// scoring a match is pure — the same match yields bit-identical
-    /// scores on any thread.
+    /// Exactly equal to `self.rank(pattern, matches)` truncated to `k`:
+    /// the (score descending, document-order ascending) tie-break is a
+    /// total order, so a bounded [`OrderedTopK`] keeps the exact top-k.
+    ///
+    /// `_threads` is ignored: ranking runs on the calling thread. The
+    /// parameter is kept only for the end-to-end benchmark harness, which
+    /// passes it.
     pub fn rank_top_k(
         &self,
         pattern: &TwigPattern,
         matches: Vec<TwigMatch>,
         k: usize,
-        threads: usize,
-    ) -> Vec<ScoredMatch> {
-        self.rank_top_k_spanned(pattern, matches, k, threads, None)
-    }
-
-    /// Like [`Self::rank_top_k`], recording the score/select and merge
-    /// phases as timed children of `span` when one is supplied. The span
-    /// never changes the ranking.
-    pub fn rank_top_k_spanned(
-        &self,
-        pattern: &TwigPattern,
-        matches: Vec<TwigMatch>,
-        k: usize,
-        threads: usize,
-        span: Option<&lotusx_obs::Span>,
+        _threads: usize,
     ) -> Vec<ScoredMatch> {
         self.rank_top_k_budgeted(
             pattern,
             matches,
             k,
-            threads,
-            span,
+            None,
             &lotusx_guard::QueryGuard::unlimited(),
         )
     }
 
-    /// Like [`Self::rank_top_k_spanned`], under a budget: each worker
-    /// charges one node visit per match scored and stops scoring once
-    /// the guard trips. The matches handed in are already verified, so
-    /// the truncated top-k is an exact top-k over the scored prefix —
-    /// every returned hit is a true hit.
+    /// Like [`Self::rank_top_k`], under a budget, recording the
+    /// score/select and sort phases as timed children of `span` when one
+    /// is supplied (the span never changes the ranking). One node visit
+    /// is charged per match scored, and scoring stops once the guard
+    /// trips. The matches handed in are already verified, so the
+    /// truncated top-k is an exact top-k over the scored prefix — every
+    /// returned hit is a true hit.
     pub fn rank_top_k_budgeted(
         &self,
         pattern: &TwigPattern,
         matches: Vec<TwigMatch>,
         k: usize,
-        threads: usize,
         span: Option<&lotusx_obs::Span>,
         qguard: &lotusx_guard::QueryGuard,
     ) -> Vec<ScoredMatch> {
@@ -200,23 +187,14 @@ impl<'a> Ranker<'a> {
             g.annotate("k", k);
             g
         });
-        let collector = lotusx_par::par_chunks(&matches, threads, |_, chunk| {
-            let mut acc = OrderedTopK::new(k);
-            let mut ticker = qguard.ticker();
-            for m in chunk {
-                if ticker.tick(1) {
-                    break;
-                }
-                acc.push(self.score(pattern, m), m.clone());
+        let mut collector = OrderedTopK::new(k);
+        let mut ticker = qguard.ticker();
+        for m in matches {
+            if ticker.tick(1) {
+                break;
             }
-            acc
-        })
-        .into_iter()
-        .reduce(|mut a, b| {
-            a.merge(b);
-            a
-        })
-        .unwrap_or_else(|| OrderedTopK::new(k));
+            collector.push(self.score(pattern, &m), m);
+        }
         drop(guard);
         let _sort = span.map(|p| p.child("sort"));
         collector
@@ -356,13 +334,11 @@ mod tests {
             for k in [0, 1, 2, 100] {
                 let mut expect = full.clone();
                 expect.truncate(k);
-                for threads in [1, 2, 8] {
-                    let got = ranker.rank_top_k(&pattern, matches.clone(), k, threads);
-                    assert_eq!(got.len(), expect.len(), "{q} k={k} t={threads}");
-                    for (g, e) in got.iter().zip(&expect) {
-                        assert_eq!(g.m, e.m, "{q} k={k} t={threads}");
-                        assert_eq!(g.score, e.score, "{q} k={k} t={threads}");
-                    }
+                let got = ranker.rank_top_k(&pattern, matches.clone(), k, 1);
+                assert_eq!(got.len(), expect.len(), "{q} k={k}");
+                for (g, e) in got.iter().zip(&expect) {
+                    assert_eq!(g.m, e.m, "{q} k={k}");
+                    assert_eq!(g.score, e.score, "{q} k={k}");
                 }
             }
         }

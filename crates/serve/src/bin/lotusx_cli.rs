@@ -445,13 +445,12 @@ fn print_stats(system: &LotusX) {
     );
     let qc = system.query_cache_stats();
     println!(
-        "query cache: {} hits, {} misses, {}/{} entries  value tries cached: {}  threads: {}",
+        "query cache: {} hits, {} misses, {}/{} entries  value tries cached: {}",
         qc.hits,
         qc.misses,
         qc.entries,
         qc.capacity,
         system.value_trie_cache_len(),
-        system.threads()
     );
     if qc.hits + qc.misses > 0 {
         let per_shard: Vec<String> = system
@@ -472,11 +471,6 @@ fn print_stats(system: &LotusX) {
             .collect();
         println!("  value-trie shards: {}", per_shard.join("  "));
     }
-    let ex = lotusx_par::executor_stats();
-    println!(
-        "executor: {} parallel jobs, {} worker threads spawned",
-        ex.jobs, ex.threads_spawned
-    );
     if !lotusx_obs::enabled() {
         println!("profiling off — `profile on` to record stage latencies ('stats json' for the raw snapshot)");
         return;
@@ -761,7 +755,7 @@ one-shot queries:
 observability:
   profile on|off     toggle metrics recording + per-query profiles
   explain <xpath>    run one query and print its stage-timing tree
-  stats              document, cache, executor and latency statistics
+  stats              document, cache and latency statistics
   stats json         the metrics snapshot as JSON (metrics.json format)
   top [frames]       live windowed telemetry (QPS, tail latency, exemplars)
   top --remote HOST:PORT [frames]

@@ -50,7 +50,8 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:8080` (`:0` = ephemeral).
     pub addr: String,
-    /// Worker threads serving requests (at least 1).
+    /// Worker threads serving requests (at least 1) — the engine's only
+    /// source of concurrency: each request runs wholly on one worker.
     pub threads: usize,
     /// Maximum connections actively being served before new ones are
     /// answered `429`. Idle keep-alive connections do not count.
@@ -80,7 +81,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: lotusx_par::default_threads(),
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             max_inflight: 64,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),

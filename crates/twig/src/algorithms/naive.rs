@@ -14,63 +14,37 @@ use lotusx_xml::NodeId;
 
 /// Evaluates `pattern` navigationally, returning all full matches.
 pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> Vec<TwigMatch> {
-    evaluate_partitioned(idx, pattern, 1)
+    evaluate_guarded(idx, pattern, &QueryGuard::unlimited())
 }
 
-/// Evaluates `pattern` navigationally with the root candidate stream
-/// partitioned across `threads` workers.
-///
-/// Each root binding expands independently of every other, so the stream
-/// splits into contiguous chunks with no shared state. Chunk boundaries
-/// balance estimated work, not item count: a root's expansion cost scales
-/// with its subtree, whose size is exactly its region width, so workers
-/// split on cumulative width and a few huge subtrees no longer serialize
-/// behind one worker. The final global sort + dedup (which the serial
-/// path performs anyway) makes the result identical for every thread
-/// count and chunking.
-pub fn evaluate_partitioned(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
-    threads: usize,
-) -> Vec<TwigMatch> {
-    evaluate_guarded(idx, pattern, threads, &QueryGuard::unlimited())
-}
-
-/// [`evaluate_partitioned`] under a budget. Every worker charges one
-/// node visit per candidate binding it examines (amortized through a
-/// per-chunk [`Ticker`]); on trip each worker finishes its in-flight
-/// recursion step and stops expanding new root candidates. Only fully
-/// bound assignments are ever emitted, so partial output is valid.
+/// [`evaluate`] under a budget. One node visit is charged per candidate
+/// binding examined (amortized through a [`Ticker`]); on trip the walk
+/// finishes its in-flight recursion step and stops expanding new root
+/// candidates. Only fully bound assignments are ever emitted, so partial
+/// output is valid.
 pub fn evaluate_guarded(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
-    threads: usize,
     guard: &QueryGuard,
 ) -> Vec<TwigMatch> {
-    let roots = filtered_stream(idx, pattern, pattern.root());
-    let weight = |e: &lotusx_index::ElementEntry| u64::from(e.region.end - e.region.start);
-    let chunks = lotusx_par::par_chunks_weighted(&roots, threads, weight, |_, chunk| {
-        let mut out = Vec::new();
-        let mut bindings = vec![NodeId::DOCUMENT; pattern.len()];
-        let mut ticker = guard.ticker();
-        for entry in chunk {
-            if ticker.tick(1) {
-                break;
-            }
-            bindings[pattern.root().index()] = entry.node;
-            extend(
-                idx,
-                pattern,
-                pattern.root(),
-                entry.node,
-                &mut bindings,
-                &mut out,
-                &mut ticker,
-            );
+    let mut out = Vec::new();
+    let mut bindings = vec![NodeId::DOCUMENT; pattern.len()];
+    let mut ticker = guard.ticker();
+    for entry in filtered_stream(idx, pattern, pattern.root()) {
+        if ticker.tick(1) {
+            break;
         }
-        out
-    });
-    let mut out: Vec<TwigMatch> = chunks.into_iter().flatten().collect();
+        bindings[pattern.root().index()] = entry.node;
+        extend(
+            idx,
+            pattern,
+            pattern.root(),
+            entry.node,
+            &mut bindings,
+            &mut out,
+            &mut ticker,
+        );
+    }
     out.sort();
     out.dedup();
     out

@@ -331,14 +331,11 @@ fn provably_empty(idx: &IndexedDocument, pattern: &TwigPattern) -> bool {
         })
 }
 
-/// The raw join: runs the chosen algorithm, partitioning across
-/// `threads` workers where the algorithm permits (see
-/// [`execute_parallel`] for why only the navigational baseline splits).
+/// The raw join: runs the chosen algorithm.
 fn join(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
     algorithm: Algorithm,
-    threads: usize,
     guard: &QueryGuard,
 ) -> Vec<TwigMatch> {
     // A query node over a tag the document never saw has an empty stream,
@@ -347,7 +344,7 @@ fn join(
         return Vec::new();
     }
     match algorithm {
-        Algorithm::Naive => naive::evaluate_guarded(idx, pattern, threads, guard),
+        Algorithm::Naive => naive::evaluate_guarded(idx, pattern, guard),
         Algorithm::StructuralJoin => structural_join::evaluate_guarded(idx, pattern, guard),
         Algorithm::PathStack => {
             if pattern.is_path() {
@@ -370,79 +367,38 @@ pub fn execute(
     pattern: &TwigPattern,
     algorithm: Algorithm,
 ) -> Vec<TwigMatch> {
-    execute_spanned(idx, pattern, algorithm, 1, None)
+    execute_budgeted(idx, pattern, algorithm, 1, None, &QueryGuard::unlimited())
 }
 
-/// Like [`execute`], but partitions match enumeration across `threads`
-/// workers where the algorithm permits. Output is identical to
-/// [`execute`] for every thread count.
-///
-/// Only the navigational algorithm partitions today: each of its root
-/// candidates expands independently, so the root stream splits into
-/// contiguous chunks with no shared state. The stack-based holistic joins
-/// (PathStack/TwigStack/TJFast/guided) thread one global stack state
-/// through the whole leaf stream — partitioning them would need
-/// cross-chunk repair for ancestor chains spanning a chunk boundary — and
-/// the binary structural join is a sequence of full-stream merges; they
-/// all run serially.
-pub fn execute_parallel(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
-    algorithm: Algorithm,
-    threads: usize,
-) -> Vec<TwigMatch> {
-    execute_spanned(idx, pattern, algorithm, threads, None)
-}
-
-/// Like [`execute_parallel`], recording the join and the ordered filter
-/// as timed children of `span` when one is supplied. The span never
-/// changes what is computed — results are identical with and without it.
-pub fn execute_spanned(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
-    algorithm: Algorithm,
-    threads: usize,
-    span: Option<&Span>,
-) -> Vec<TwigMatch> {
-    execute_budgeted(
-        idx,
-        pattern,
-        algorithm,
-        threads,
-        span,
-        &QueryGuard::unlimited(),
-    )
-}
-
-/// Like [`execute_spanned`], under a budget: the join runs its guarded
-/// variant and stops cooperatively once `guard` trips, returning only
-/// matches proven valid by then. Callers inspect the guard afterwards
+/// Like [`execute`], under a budget: the join runs its guarded variant
+/// and stops cooperatively once `guard` trips, returning only matches
+/// proven valid by then. When `span` is supplied, the join and the
+/// ordered filter are recorded as its timed children; the span never
+/// changes what is computed. Callers inspect the guard afterwards
 /// to learn whether the result is complete.
+///
+/// `_threads` is ignored: every join runs on the calling thread. The
+/// parameter is kept only for the end-to-end benchmark harness, which
+/// passes it.
 pub fn execute_budgeted(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
     algorithm: Algorithm,
-    threads: usize,
+    _threads: usize,
     span: Option<&Span>,
     guard: &QueryGuard,
 ) -> Vec<TwigMatch> {
-    // Resolve the auto policy up front so spans and thread annotations
-    // report the algorithm that actually runs.
+    // Resolve the auto policy up front so spans report the algorithm
+    // that actually runs.
     let algorithm = match algorithm {
         Algorithm::Auto => choose_algorithm(idx, pattern).algorithm,
         pinned => pinned,
     };
     let matches = match span {
-        None => join(idx, pattern, algorithm, threads, guard),
+        None => join(idx, pattern, algorithm, guard),
         Some(parent) => {
             let span_guard = parent.child(format!("join/{algorithm}"));
-            let effective = if algorithm == Algorithm::Naive {
-                threads.max(1)
-            } else {
-                1
-            };
-            span_guard.annotate("threads", effective);
-            let m = join(idx, pattern, algorithm, threads, guard);
+            let m = join(idx, pattern, algorithm, guard);
             span_guard.annotate("matches", m.len());
             m
         }
@@ -649,13 +605,6 @@ mod tests {
             let pattern = parse_query(q).unwrap();
             let reference = execute(&idx, &pattern, Algorithm::Naive);
             assert_eq!(execute(&idx, &pattern, Algorithm::Auto), reference, "{q}");
-            for threads in [1, 4] {
-                assert_eq!(
-                    execute_parallel(&idx, &pattern, Algorithm::Auto, threads),
-                    reference,
-                    "{q} at {threads} threads"
-                );
-            }
         }
     }
 
@@ -679,30 +628,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_execution_is_identical_to_serial() {
-        let idx = idx();
-        for q in [
-            "//book/title",
-            "//book[title][author]",
-            "//book[year >= 2000]/title",
-            "ordered //book[title][author]",
-            "//bib//author",
-        ] {
-            let pattern = parse_query(q).unwrap();
-            for algo in Algorithm::ALL {
-                let serial = execute(&idx, &pattern, algo);
-                for threads in [1, 2, 8] {
-                    assert_eq!(
-                        execute_parallel(&idx, &pattern, algo, threads),
-                        serial,
-                        "{q} via {algo} at {threads} threads"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn names_are_stable() {
         assert_eq!(Algorithm::TwigStack.to_string(), "twigstack");
         assert_eq!(Algorithm::Auto.to_string(), "auto");
@@ -717,18 +642,21 @@ mod tests {
     fn spans_observe_without_changing_results() {
         let idx = idx();
         let pattern = parse_query("ordered //book[title][author]").unwrap();
-        let plain = execute_parallel(&idx, &pattern, Algorithm::TwigStack, 2);
+        let plain = execute(&idx, &pattern, Algorithm::TwigStack);
         let span = Span::new("query");
-        let spanned = execute_spanned(&idx, &pattern, Algorithm::TwigStack, 2, Some(&span));
+        let unlimited = QueryGuard::unlimited();
+        let spanned = execute_budgeted(
+            &idx,
+            &pattern,
+            Algorithm::TwigStack,
+            1,
+            Some(&span),
+            &unlimited,
+        );
         assert_eq!(plain, spanned);
         let rec = span.finish();
         let join = rec.child("join/twigstack").expect("join child recorded");
         assert_eq!(join.note("matches"), Some("2"));
-        assert_eq!(
-            join.note("threads"),
-            Some("1"),
-            "holistic joins run serially"
-        );
         let filter = rec.child("ordered-filter").expect("filter child");
         assert_eq!(filter.note("in"), Some("2"));
         assert_eq!(filter.note("kept"), Some("1"));

@@ -35,10 +35,7 @@ pub mod ordered;
 pub mod pattern;
 pub mod xpath;
 
-pub use exec::{
-    choose_algorithm, execute, execute_budgeted, execute_parallel, select_algorithm, Algorithm,
-    Choice,
-};
+pub use exec::{choose_algorithm, execute, execute_budgeted, select_algorithm, Algorithm, Choice};
 pub use matcher::TwigMatch;
 pub use pattern::{Axis, NodeTest, QNodeId, TwigPattern, ValuePredicate};
 pub use xpath::parse_query;

@@ -298,3 +298,100 @@ fn ordered_queries_are_consistent_across_algorithms() {
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
     assert!(counts[0] > 0, "bidders always list time before increase");
 }
+
+const COMPARED_QUERIES: [&str; 6] = [
+    "//title",
+    "//book/title",
+    "//*[title][author]",
+    "//book[year >= 2000]/title",
+    "ordered //book[title][author]",
+    "//nosuchtag/title",
+];
+
+/// A comparable projection of one query response: everything a caller
+/// can observe, with scores compared bit-for-bit.
+fn response_key(response: &QueryResponse) -> (usize, Vec<(u64, Vec<u32>, String)>) {
+    (
+        response.total_matches,
+        response
+            .matches
+            .iter()
+            .map(|r| {
+                (
+                    r.score.to_bits(),
+                    r.bindings.iter().map(|n| n.index() as u32).collect(),
+                    r.snippet.clone(),
+                )
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn generously_budgeted_searches_equal_unbudgeted_ones() {
+    use lotusx::Budget;
+    let doc = generate(Dataset::DblpLike, 1, 7);
+    let reference = LotusX::load_document(doc.clone());
+    let system = LotusX::load_document(doc);
+    let generous = || {
+        Budget::default()
+            .with_deadline(std::time::Duration::from_secs(600))
+            .with_node_quota(1 << 40)
+    };
+    for q in COMPARED_QUERIES {
+        let plain = reference.query(&QueryRequest::twig(q)).unwrap();
+        let budgeted = system
+            .query(&QueryRequest::twig(q).budget(generous()))
+            .unwrap();
+        assert!(budgeted.completeness.is_complete(), "{q}");
+        assert_eq!(response_key(&plain), response_key(&budgeted), "{q}");
+    }
+}
+
+#[test]
+fn batch_search_is_identical_to_sequential_searches() {
+    let system = LotusX::load_document(generate(Dataset::XmarkLike, 1, 3));
+    let requests: Vec<QueryRequest> = COMPARED_QUERIES
+        .iter()
+        .map(|q| QueryRequest::twig(*q))
+        .collect();
+    let batch = system.query_batch(&requests);
+    assert_eq!(batch.len(), requests.len());
+    for (q, got) in COMPARED_QUERIES.iter().zip(&batch) {
+        let got = got.as_ref().unwrap();
+        let expect = system.query(&QueryRequest::twig(*q)).unwrap();
+        assert_eq!(response_key(got), response_key(&expect), "{q}");
+    }
+}
+
+#[test]
+fn completions_are_identical_across_loads() {
+    let doc = generate(Dataset::DblpLike, 1, 11);
+    let reference = LotusX::load_document(doc.clone());
+    let system = LotusX::load_document(doc);
+    let (a, b) = (reference.completion_engine(), system.completion_engine());
+    for prefix in ["", "a", "t", "b"] {
+        let tags = |engine: &lotusx::CompletionEngine<'_>| -> Vec<(String, u64)> {
+            engine
+                .complete_tag_global(prefix, 10)
+                .into_iter()
+                .map(|c| (c.name, c.count))
+                .collect()
+        };
+        assert_eq!(tags(&a), tags(&b), "tag completions for {prefix:?}");
+    }
+    for (tag, prefix) in [("title", ""), ("title", "a"), ("author", "b")] {
+        let values = |engine: &lotusx::CompletionEngine<'_>| -> Vec<(String, u64)> {
+            engine
+                .complete_value(tag, prefix, 10)
+                .into_iter()
+                .map(|c| (c.term, c.count))
+                .collect()
+        };
+        assert_eq!(
+            values(&a),
+            values(&b),
+            "value completions for {tag}/{prefix:?}"
+        );
+    }
+}

@@ -6,7 +6,7 @@
 //! nothing bit-for-bit, and truncated outcomes never poison the query
 //! cache.
 
-use lotusx::{Budget, CancelToken, LotusX, QueryRequest, TruncationReason};
+use lotusx::{Algorithm, Budget, CancelToken, LotusX, QueryRequest, TruncationReason};
 use lotusx_datagen::{generate, Dataset};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -130,6 +130,41 @@ fn generous_budgets_change_nothing() {
                 assert_eq!(a.snippet, b.snippet, "{dataset}: {q}");
             }
         }
+    }
+}
+
+/// A node quota charges the same work on every host: each request runs
+/// on one thread and charges its budget through one ticker, so where it
+/// truncates cannot depend on the CPU count. Runs on the default
+/// configuration, which is what a server uses.
+#[test]
+fn node_quotas_truncate_identically_on_any_host() {
+    let system = LotusX::load_document(generate(Dataset::DblpLike, 4, 7));
+    for q in ["//article[title][author]", "//*[title]"] {
+        let request = QueryRequest::twig(q).algorithm(Algorithm::Naive);
+        let budgeted = request
+            .clone()
+            .budget(Budget::default().with_node_quota(3_000));
+        // Budgeted runs first: a cached complete outcome would answer them.
+        let first = system.query(&budgeted).unwrap();
+        assert_eq!(
+            first.completeness.truncation_reason(),
+            Some(TruncationReason::NodeQuotaExceeded),
+            "{q}: 3,000 nodes cannot cover the whole answer"
+        );
+        let scores = |r: &lotusx::QueryResponse| -> Vec<u64> {
+            r.matches.iter().map(|m| m.score.to_bits()).collect()
+        };
+        for _ in 0..20 {
+            let again = system.query(&budgeted).unwrap();
+            assert_eq!(again.completeness, first.completeness, "{q}");
+            assert_eq!(again.total_matches, first.total_matches, "{q}");
+            assert_eq!(binding_keys(&again), binding_keys(&first), "{q}");
+            assert_eq!(scores(&again), scores(&first), "{q}");
+        }
+        let full = system.query(&request).unwrap();
+        assert!(full.completeness.is_complete(), "{q}");
+        assert!(first.total_matches < full.total_matches, "{q}");
     }
 }
 
